@@ -45,6 +45,7 @@ from repro.conformance.variants import (
     VariantRun,
 )
 from repro.conformance.workload import make_label
+from repro.core.config import ProtocolConfig
 from repro.core.messages import DeliveryService
 from repro.evs.checker import EvsViolation
 from repro.membership.params import MembershipTimeouts
@@ -165,7 +166,10 @@ def _message_counts(tap: ConformanceTap) -> Dict[int, int]:
 
 
 def run_sim_serialized(
-    workload: RealtimeWorkload, crash: bool = False, accelerated: bool = True
+    workload: RealtimeWorkload,
+    crash: bool = False,
+    accelerated: bool = True,
+    protocol_config: Optional[ProtocolConfig] = None,
 ) -> VariantRun:
     """Replay the serialized schedule on the membership simulator."""
     tap = ConformanceTap()
@@ -175,6 +179,7 @@ def run_sim_serialized(
         .membership()
         .accelerated(accelerated)
         .profile(DAEMON)
+        .config(protocol_config or ProtocolConfig())
         .tap(tap)
         .build_membership()
     )
@@ -274,7 +279,10 @@ def run_sim_serialized(
 
 
 async def _run_real_serialized_async(
-    workload: RealtimeWorkload, crash: bool, accelerated: bool
+    workload: RealtimeWorkload,
+    crash: bool,
+    accelerated: bool,
+    protocol_config: Optional[ProtocolConfig],
 ) -> VariantRun:
     tap = ConformanceTap()
     addresses = ephemeral_ring_addresses(range(workload.num_hosts))
@@ -295,6 +303,7 @@ async def _run_real_serialized_async(
             pid,
             addresses,
             accelerated=accelerated,
+            protocol_config=protocol_config,
             timeouts=REALTIME_TIMEOUTS,
         )
         hook(pid, node)
@@ -393,10 +402,15 @@ async def _run_real_serialized_async(
 
 
 def run_real_serialized(
-    workload: RealtimeWorkload, crash: bool = False, accelerated: bool = True
+    workload: RealtimeWorkload,
+    crash: bool = False,
+    accelerated: bool = True,
+    protocol_config: Optional[ProtocolConfig] = None,
 ) -> VariantRun:
     """Replay the serialized schedule on real loopback UDP nodes."""
-    return asyncio.run(_run_real_serialized_async(workload, crash, accelerated))
+    return asyncio.run(
+        _run_real_serialized_async(workload, crash, accelerated, protocol_config)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -459,18 +473,25 @@ def run_realtime_differential(
     accelerated: bool = True,
     sim_run: Optional[VariantRun] = None,
     real_run: Optional[VariantRun] = None,
+    protocol_config: Optional[ProtocolConfig] = None,
 ) -> RealtimeReport:
     """Run the workload through both implementations and diff the streams.
 
     ``sim_run`` / ``real_run`` allow injecting pre-recorded runs (the
     same hook :func:`~repro.conformance.differ.run_differential` has),
     which the tests use to prove divergences are actually detected.
+    ``protocol_config`` (default: ``ProtocolConfig()``) runs both sides
+    with the same engine settings, e.g. ``messages_per_datagram``.
     """
     workload = workload or RealtimeWorkload()
     if sim_run is None:
-        sim_run = run_sim_serialized(workload, crash=crash, accelerated=accelerated)
+        sim_run = run_sim_serialized(
+            workload, crash, accelerated, protocol_config=protocol_config
+        )
     if real_run is None:
-        real_run = run_real_serialized(workload, crash=crash, accelerated=accelerated)
+        real_run = run_real_serialized(
+            workload, crash, accelerated, protocol_config=protocol_config
+        )
 
     divergences = compare_runs(sim_run, real_run, faulty=crash)
     for run in (sim_run, real_run):

@@ -5,6 +5,11 @@ a compact network-byte-order encoding with a one-byte type tag.  The
 ``timestamp`` field on data messages exists purely so benchmark clients
 can measure end-to-end latency across processes, mirroring the paper's
 instrumented clients.
+
+Decoders face the network: every length and enum value is checked, and a
+malformed datagram raises :class:`~repro.util.errors.CodecError` — never
+``struct.error`` or ``ValueError`` — so a receive loop can count it and
+carry on.
 """
 
 from __future__ import annotations
@@ -38,6 +43,16 @@ BATCH_ITEM_OVERHEAD = _ITEM_PREFIX.size
 BATCH_FRAME_OVERHEAD = _BATCH_HEADER.size
 
 WireMessage = Union[DataMessage, RegularToken]
+
+_SERVICES = {int(service): service for service in DeliveryService}
+
+
+def _service_from_wire(value: int) -> DeliveryService:
+    """The :class:`DeliveryService` a wire byte names, or CodecError."""
+    service = _SERVICES.get(value)
+    if service is None:
+        raise CodecError(f"unknown delivery service {value}")
+    return service
 
 
 def encode_data(message: DataMessage) -> bytes:
@@ -193,7 +208,7 @@ def decode_data_batch(data: bytes) -> List[DataMessage]:
                 seq=seq,
                 pid=pid,
                 round=round_,
-                service=DeliveryService(service),
+                service=_service_from_wire(service),
                 payload=bytes(view[payload_start : payload_start + payload_len]),
                 post_token=bool(post_token),
                 timestamp=None if timestamp < 0 else timestamp,
@@ -252,7 +267,7 @@ def _decode_data(data: bytes) -> DataMessage:
         seq=seq,
         pid=pid,
         round=round_,
-        service=DeliveryService(service),
+        service=_service_from_wire(service),
         payload=payload,
         post_token=bool(post_token),
         timestamp=None if timestamp < 0 else timestamp,

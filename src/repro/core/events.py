@@ -3,19 +3,27 @@
 Handling one input (a token or a data message) produces an ordered list of
 effects.  Order is semantically meaningful: effects before a
 :class:`SendToken` constitute the pre-token multicast phase, effects after
-it the post-token phase, and the driver executes them sequentially on the
-single-threaded CPU.
+it the post-token phase, and the host executes them sequentially.  Every
+host executes them through one interpreter,
+:class:`repro.core.transport_core.EffectInterpreter`.
 
-Effects are allocated on the benchmark hot path (one per multicast /
-delivery / token send), so they are hand-written ``__slots__`` classes
-rather than dataclasses (Python 3.9 lacks ``dataclass(slots=True)``).
-Equality and repr match the dataclasses they replaced.
+The ordering effects are allocated on the benchmark hot path (one per
+multicast / delivery run / token send), so they are hand-written
+``__slots__`` classes rather than dataclasses (Python 3.9 lacks
+``dataclass(slots=True)``).  The membership effects, rare by comparison,
+are plain dataclasses.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Optional, Tuple
+
 from repro.core.messages import DataMessage
 from repro.core.token import RegularToken
+
+if TYPE_CHECKING:
+    from repro.evs.configuration import Configuration
 
 
 class Effect:
@@ -71,70 +79,84 @@ class SendToken(Effect):
 
 
 class Deliver(Effect):
-    """Deliver a message to the local application (in total order)."""
+    """Deliver an in-order run of messages to the local application.
 
-    __slots__ = ("message",)
+    ``messages`` is always a tuple in delivery (sequence) order, one
+    message or many: the engines emit one effect per run the delivery
+    frontier advanced by, so the hosting layer performs one observer
+    hook call, one checker append and one callback round per run.
 
-    def __init__(self, message: DataMessage) -> None:
-        self.message = message
+    A bare ordering engine leaves ``config_id`` and ``origin_ring`` as
+    ``None``; the membership controller stamps both with the
+    configuration the run is delivered in (the attribution the EVS
+    checker needs).  A run never spans a view change.
+    """
+
+    __slots__ = ("messages", "config_id", "origin_ring")
+
+    def __init__(
+        self,
+        messages: Tuple[DataMessage, ...],
+        config_id: Optional[int] = None,
+        origin_ring: Optional[int] = None,
+    ) -> None:
+        self.messages = messages
+        self.config_id = config_id
+        self.origin_ring = origin_ring
 
     def __repr__(self) -> str:
-        return f"Deliver(message={self.message!r})"
+        return (
+            f"Deliver(messages={self.messages!r}, config_id={self.config_id!r}, "
+            f"origin_ring={self.origin_ring!r})"
+        )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Deliver:
             return NotImplemented
-        return self.message == other.message
+        return (
+            self.messages == other.messages
+            and self.config_id == other.config_id
+            and self.origin_ring == other.origin_ring
+        )
 
     __hash__ = None
 
 
-class DeliverBatch(Effect):
-    """Deliver a contiguous in-order run of messages in one step.
+# ----------------------------------------------------------------------
+# Membership effects: emitted by the membership controller on top of the
+# ordering effects above (control sends, timers, view changes).
+# ----------------------------------------------------------------------
 
-    Emitted by the engines when the delivery frontier advances by more
-    than one message at once (``_deliver_ready`` found a run): the
-    hosting layer performs *one* observer hook call, one checker append,
-    and one driver callback for the whole slice instead of one of each
-    per message.  ``messages`` is a tuple in delivery (sequence) order.
-    Semantically equivalent to that many consecutive :class:`Deliver`
-    effects; single-message runs still use :class:`Deliver`.
+
+@dataclass
+class SendControl(Effect):
+    """Send a membership control message.
+
+    ``destination`` of ``None`` means multicast to all attached hosts.
+    Control messages travel on the token port class.
     """
 
-    __slots__ = ("messages",)
-
-    def __init__(self, messages: tuple) -> None:
-        self.messages = messages
-
-    def __repr__(self) -> str:
-        return f"DeliverBatch(messages={self.messages!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not DeliverBatch:
-            return NotImplemented
-        return self.messages == other.messages
-
-    __hash__ = None
+    message: Any
+    destination: Optional[int] = None
 
 
-class Stable(Effect):
-    """Messages up to ``seq`` are stable everywhere and were discarded.
+@dataclass
+class SetTimer(Effect):
+    """(Re)arm a named timer to fire ``delay`` seconds from now."""
 
-    Purely informational (garbage-collection notification); drivers may
-    ignore it.
-    """
+    name: str
+    delay: float
 
-    __slots__ = ("seq",)
 
-    def __init__(self, seq: int) -> None:
-        self.seq = seq
+@dataclass
+class CancelTimer(Effect):
+    """Cancel a named timer if armed."""
 
-    def __repr__(self) -> str:
-        return f"Stable(seq={self.seq!r})"
+    name: str
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Stable:
-            return NotImplemented
-        return self.seq == other.seq
 
-    __hash__ = None
+@dataclass
+class DeliverConfiguration(Effect):
+    """Deliver a configuration change (regular or transitional)."""
+
+    configuration: "Configuration"

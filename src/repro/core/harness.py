@@ -14,10 +14,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.events import Deliver, DeliverBatch, MulticastData, SendToken, Stable
 from repro.core.messages import DataMessage
 from repro.core.participant import AcceleratedRingParticipant
-from repro.core.token import initial_token
+from repro.core.token import RegularToken, initial_token
+from repro.core.transport_core import EffectInterpreter, EffectPort
 
 
 DropFn = Callable[[int, int, DataMessage], bool]  # (src, dst, message) -> drop?
@@ -43,6 +43,10 @@ class InstantNetwork:
             pid: [] for pid in self.participants
         }
         self._queue: deque = deque()  # (dst_pid, kind, payload)
+        self._interpreters: Dict[int, EffectInterpreter] = {
+            pid: EffectInterpreter(_InstantPort(self, pid))
+            for pid in self.participants
+        }
         self._token_dispatches = 0
         self.data_frames_sent = 0
         self.data_frames_dropped = 0
@@ -62,16 +66,7 @@ class InstantNetwork:
             steps += 1
             if steps > max_steps:
                 raise RuntimeError(f"instant network did not settle in {max_steps} steps")
-            dst, kind, payload = self._queue.popleft()
-            participant = self.participants[dst]
-            if kind == "token":
-                if self._token_dispatches >= max_token_dispatches:
-                    continue
-                self._token_dispatches += 1
-                effects = participant.on_token(payload)
-            else:
-                effects = participant.on_data(payload)
-            self._execute(participant, effects)
+            self._step(max_token_dispatches)
 
     def run_until_delivered(
         self, total_messages: int, max_rounds: int = 500
@@ -80,18 +75,28 @@ class InstantNetwork:
         messages (or the round budget runs out)."""
         max_token_dispatches = max_rounds * len(self.ring)
         while self._queue and self._token_dispatches < max_token_dispatches:
-            dst, kind, payload = self._queue.popleft()
-            participant = self.participants[dst]
-            if kind == "token":
-                self._token_dispatches += 1
-                effects = participant.on_token(payload)
-            else:
-                effects = participant.on_data(payload)
-            self._execute(participant, effects)
+            self._step(max_token_dispatches)
             if all(
                 len(log) >= total_messages for log in self.delivered.values()
             ) and self._all_stable():
                 return
+
+    def _step(self, max_token_dispatches: int) -> None:
+        """Hand the next queued item to its recipient; a token past the
+        dispatch budget is dropped."""
+        dst, kind, payload = self._queue.popleft()
+        participant = self.participants[dst]
+        if kind == "token":
+            if self._token_dispatches >= max_token_dispatches:
+                return
+            self._token_dispatches += 1
+            effects = participant.on_token(payload)
+        else:
+            effects = participant.on_data(payload)
+        self._execute(participant, effects)
+
+    def _execute(self, source: AcceleratedRingParticipant, effects: list) -> None:
+        self._interpreters[source.pid].execute(effects)
 
     def _all_stable(self) -> bool:
         return all(
@@ -99,21 +104,6 @@ class InstantNetwork:
         )
 
     # ------------------------------------------------------------------
-
-    def _execute(self, source: AcceleratedRingParticipant, effects: list) -> None:
-        for effect in effects:
-            if isinstance(effect, MulticastData):
-                self._multicast(source.pid, effect.message)
-            elif isinstance(effect, SendToken):
-                self._queue.append((effect.destination, "token", effect.token))
-            elif isinstance(effect, Deliver):
-                self.delivered[source.pid].append(effect.message)
-            elif isinstance(effect, DeliverBatch):
-                self.delivered[source.pid].extend(effect.messages)
-            elif isinstance(effect, Stable):
-                pass
-            else:
-                raise TypeError(f"unknown effect {effect!r}")
 
     def _multicast(self, src: int, message: DataMessage) -> None:
         for dst in self.ring:
@@ -149,3 +139,24 @@ class InstantNetwork:
             seqs = self.delivered_seqs(pid)
             if seqs != list(range(1, len(seqs) + 1)):
                 raise AssertionError(f"participant {pid} delivery has gaps: {seqs[:30]}")
+
+
+class _InstantPort(EffectPort):
+    """One participant's effect port: appends to the network's queues."""
+
+    def __init__(self, network: InstantNetwork, pid: int) -> None:
+        self.network = network
+        self.pid = pid
+
+    def send_data(self, message: DataMessage, retransmission: bool) -> None:
+        self.network._multicast(self.pid, message)
+
+    def send_run(self, messages: List[DataMessage]) -> None:
+        for message in messages:
+            self.network._multicast(self.pid, message)
+
+    def send_token(self, token: RegularToken, destination: int) -> None:
+        self.network._queue.append((destination, "token", token))
+
+    def deliver(self, messages, config_id, origin_ring) -> None:
+        self.network.delivered[self.pid].extend(messages)

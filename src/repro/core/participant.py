@@ -20,14 +20,7 @@ from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Sequence
 
 from repro.core.buffer import MessageBuffer
 from repro.core.config import ProtocolConfig, TokenPriorityMethod
-from repro.core.events import (
-    Deliver,
-    DeliverBatch,
-    Effect,
-    MulticastData,
-    SendToken,
-    Stable,
-)
+from repro.core.events import Deliver, Effect, MulticastData, SendToken
 from repro.core.flow_control import plan_sending, update_fcc
 from repro.core.messages import DataMessage, DeliveryService
 from repro.core.token import RegularToken
@@ -244,9 +237,7 @@ class AcceleratedRingParticipant:
         self._safe_limit = min(self._sent_aru_prev, token.aru)
         self._sent_aru_prev = token.aru
         effects.extend(self._deliver_ready())
-        discard_limit = min(self._safe_limit, self._last_delivered)
-        if self.buffer.discard_up_to(discard_limit):
-            effects.append(Stable(discard_limit))
+        self.buffer.discard_up_to(min(self._safe_limit, self._last_delivered))
 
         # Bookkeeping for the accelerated request rule and §III-D priority.
         self._prev_token_seq = received_seq
@@ -291,7 +282,7 @@ class AcceleratedRingParticipant:
 
         Equivalent to calling :meth:`on_data` per message, but the
         delivery scan runs once over the whole batch, so an in-order
-        datagram yields a single :class:`~repro.core.events.DeliverBatch`
+        datagram yields a single :class:`~repro.core.events.Deliver`
         instead of one effect list per message.
         """
         buffer_insert = self.buffer.insert
@@ -438,12 +429,10 @@ class AcceleratedRingParticipant:
             return []
         self._last_delivered = last_delivered
         self.messages_delivered += delivered
-        # The whole in-order run is one batched effect: the hosting layer
-        # delivers the slice with a single hook/checker/callback round
-        # instead of one per message.  A run of one keeps the scalar form.
-        if delivered == 1:
-            return [Deliver(run[0])]
-        return [DeliverBatch(tuple(run))]
+        # The whole in-order run is one effect: the hosting layer delivers
+        # the slice with a single hook/checker/callback round instead of
+        # one per message.
+        return [Deliver(tuple(run))]
 
     def _maybe_raise_token_priority(self, message: DataMessage) -> None:
         """Paper §III-D: decide when the token outranks data again."""

@@ -1,25 +1,30 @@
 """Sans-io transport core shared by the simulator and the real runtime.
 
-Both "implementations" of the protocol — the deterministic simulator
-driver (:class:`repro.sim.driver.ProtocolHost`) and the asyncio/UDP
-runtime node (:class:`repro.runtime.node.RingNode`) — move the same
-traffic: runs of new multicasts coalesced into one datagram
-(``messages_per_datagram``), retransmissions travelling alone, frames
-queued through preallocated rings, and receive/send windows accounted in
-bytes.  This module is the single home for that machinery, with no I/O
-and no clock: the sim prices the plans in simulated CPU seconds, the
-runtime encodes them onto real sockets, and neither keeps a private
-copy of the policy.
+Every host of the protocol — the bare-ring simulator driver
+(:class:`repro.sim.driver.ProtocolHost`), the membership simulator
+driver (:class:`repro.sim.membership_driver.MembershipHost`), the
+asyncio/UDP runtime node (:class:`repro.runtime.node.RingNode`) and the
+test harness (:class:`repro.core.harness.InstantNetwork`) — executes the
+same effects and moves the same traffic: runs of new multicasts
+coalesced into one datagram (``messages_per_datagram``),
+retransmissions travelling alone, frames queued through preallocated
+rings, and receive/send windows accounted in bytes.  This module is the
+single home for that machinery, with no I/O and no clock: the sim
+prices the plans in simulated CPU seconds, the runtime encodes them onto
+real sockets, and neither keeps a private copy of the policy.
 
 Contents:
 
+* :class:`EffectInterpreter` / :class:`EffectPort` — the one loop that
+  dispatches on effect type.  The interpreter owns the coalescing run
+  boundaries and the named-timer table; each host binds a small port
+  (send data / run / token / control, schedule timer, deliver, deliver
+  configuration) to its own I/O.
 * :class:`FrameRing` — the preallocated power-of-2 receive/transmit
   queue (re-exported by :mod:`repro.net.ring` for the simulator's
   hot-path inlines).
-* :class:`CoalescingAccumulator` — the run-grouping policy for
-  ``MulticastData`` effects; one implementation of "runs of consecutive
-  new sends pack into one datagram, flushed at the first effect of any
-  other kind so the token never overtakes pre-token sends".
+* :class:`CoalescingAccumulator` — the run store the interpreter packs
+  consecutive new multicasts into.
 * :func:`batch_wire_size` — the exact wire arithmetic of a coalesced
   frame (``encode_data_batch``'s format), used by the sim cost model
   and by anyone sizing real datagrams.
@@ -37,7 +42,7 @@ Contents:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.codec import (
     BATCH_FRAME_OVERHEAD,
@@ -50,7 +55,18 @@ from repro.core.codec import (
     encode_data_batch,
 )
 from repro.core.codec import _decode_data  # one parse path for both consumers
+from repro.core.events import (
+    CancelTimer,
+    Deliver,
+    DeliverConfiguration,
+    Effect,
+    MulticastData,
+    SendControl,
+    SendToken,
+    SetTimer,
+)
 from repro.core.messages import DataMessage
+from repro.core.token import RegularToken
 from repro.util.errors import CodecError
 
 #: Default initial :class:`FrameRing` capacity (slots).  Steady-state
@@ -182,19 +198,16 @@ def batch_wire_size(messages: Sequence[DataMessage], header_bytes: int) -> int:
 class CoalescingAccumulator:
     """Groups runs of consecutive coalescible multicasts.
 
-    The policy (paper §III-C, implemented identically by the sim driver
-    and the runtime node): with ``messages_per_datagram > 1``, runs of
+    The run store behind :class:`EffectInterpreter`, which applies the
+    policy (paper §III-C): with ``messages_per_datagram > 1``, runs of
     consecutive *new* multicasts pack into one datagram of up to that
-    many messages.  Retransmissions never coalesce — callers send them
-    alone without touching the accumulator.  A run ends at the first
-    effect of any other kind: callers must drain (:meth:`take`) before
-    emitting that effect so datagrams keep effect order — the token
-    must not overtake pre-token sends.
+    many messages.  Retransmissions never coalesce.  A run ends at the
+    first effect of any other kind, which is emitted only after the run
+    is drained (:meth:`take`), so datagrams keep effect order.
 
-    ``group`` is public: the sim's per-effect hot loop tests it
-    directly (``acc.group is not None``) the same way it inlines
-    :class:`FrameRing` fields; :meth:`push` and :meth:`take` are the
-    reference mutators and the only ones.
+    ``group`` is public: the interpreter's per-effect loop tests it
+    directly (``acc.group is not None``); :meth:`push` and :meth:`take`
+    are the only mutators.
     """
 
     __slots__ = ("mpd", "group")
@@ -261,6 +274,151 @@ def decode_data_port(data: bytes) -> Union[DataMessage, List[DataMessage]]:
     if msg_type == TYPE_DATA_BATCH:
         return decode_data_batch(data)
     raise CodecError(f"unexpected type {msg_type} on the data port")
+
+
+# ----------------------------------------------------------------------
+# Effect interpretation
+# ----------------------------------------------------------------------
+
+
+class EffectPort:
+    """The host side of :class:`EffectInterpreter`: one method per
+    primitive the effects reduce to.
+
+    ``send_data`` multicasts one message in a datagram of its own;
+    ``send_run`` multicasts a coalesced run of two or more new messages
+    as one datagram; ``schedule_timer`` returns a handle with a
+    ``cancel()`` method; ``deliver`` hands an in-order run to the
+    application.  The control, timer and configuration methods are only
+    reached by hosts running a membership controller, and raise here.
+    """
+
+    def send_data(self, message: DataMessage, retransmission: bool) -> None:
+        raise NotImplementedError
+
+    def send_run(self, messages: List[DataMessage]) -> None:
+        raise NotImplementedError
+
+    def send_token(self, token: RegularToken, destination: int) -> None:
+        raise NotImplementedError
+
+    def deliver(
+        self,
+        messages: Tuple[DataMessage, ...],
+        config_id: Optional[int],
+        origin_ring: Optional[int],
+    ) -> None:
+        raise NotImplementedError
+
+    def send_control(self, message: Any, destination: Optional[int]) -> None:
+        raise TypeError(f"{type(self).__name__} cannot send control messages")
+
+    def schedule_timer(self, name: str, delay: float) -> Any:
+        raise TypeError(f"{type(self).__name__} has no timers")
+
+    def deliver_configuration(self, configuration: Any) -> None:
+        raise TypeError(f"{type(self).__name__} has no configurations")
+
+
+class EffectInterpreter:
+    """Executes effect lists against one host's :class:`EffectPort`.
+
+    The only loop in the package that dispatches on effect type.  It
+    owns two policies, so no host keeps a copy:
+
+    * **Run boundaries** (``messages_per_datagram > 1``): consecutive new
+      multicasts pack into runs of up to that many messages through a
+      :class:`CoalescingAccumulator`.  Retransmissions go alone, and the
+      pending run is flushed before any other effect, so the token never
+      overtakes pre-token sends.  A run of one is sent as a plain data
+      message.  The accumulator is drained before :meth:`execute`
+      returns, so no message waits across effect lists.
+    * **Named timers**: ``SetTimer`` replaces (cancels) an armed timer of
+      the same name, ``CancelTimer`` drops it.  The host reports a fired
+      timer with :meth:`timer_fired` and drops them all with
+      :meth:`cancel_timers`.
+    """
+
+    __slots__ = (
+        "port",
+        "timers",
+        "_coalescer",
+        "_send_data",
+        "_send_run",
+        "_send_token",
+        "_deliver",
+    )
+
+    def __init__(self, port: EffectPort, messages_per_datagram: int = 1) -> None:
+        self.port = port
+        #: Armed timer handles by name.
+        self.timers: Dict[str, Any] = {}
+        self._coalescer = CoalescingAccumulator(messages_per_datagram)
+        # The per-message port methods, bound once: they run for nearly
+        # every effect on the simulator's hot path.
+        self._send_data = port.send_data
+        self._send_run = port.send_run
+        self._send_token = port.send_token
+        self._deliver = port.deliver
+
+    def execute(self, effects: List[Effect]) -> None:
+        acc = self._coalescer
+        coalesce = acc.mpd > 1
+        for effect in effects:
+            kind = type(effect)
+            if kind is MulticastData:
+                if coalesce and not effect.retransmission:
+                    full = acc.push(effect.message)
+                    if full is not None:
+                        self._send_run(full)
+                    continue
+                if acc.group is not None:
+                    self._flush()
+                self._send_data(effect.message, effect.retransmission)
+                continue
+            if acc.group is not None:
+                self._flush()
+            # Deliver dominates (one per delivered run), so it is first.
+            if kind is Deliver:
+                self._deliver(effect.messages, effect.config_id, effect.origin_ring)
+            elif kind is SendToken:
+                self._send_token(effect.token, effect.destination)
+            elif kind is SendControl:
+                self.port.send_control(effect.message, effect.destination)
+            elif kind is SetTimer:
+                previous = self.timers.pop(effect.name, None)
+                if previous is not None:
+                    previous.cancel()
+                self.timers[effect.name] = self.port.schedule_timer(
+                    effect.name, effect.delay
+                )
+            elif kind is CancelTimer:
+                handle = self.timers.pop(effect.name, None)
+                if handle is not None:
+                    handle.cancel()
+            elif kind is DeliverConfiguration:
+                self.port.deliver_configuration(effect.configuration)
+            else:
+                raise TypeError(f"unknown effect {effect!r}")
+        if acc.group is not None:
+            self._flush()
+
+    def _flush(self) -> None:
+        group = self._coalescer.take()
+        if len(group) == 1:
+            self._send_data(group[0], False)
+        else:
+            self._send_run(group)
+
+    def timer_fired(self, name: str) -> None:
+        """Forget timer ``name``: it fired and is no longer armed."""
+        self.timers.pop(name, None)
+
+    def cancel_timers(self) -> None:
+        """Cancel every armed timer (crash or shutdown)."""
+        for handle in self.timers.values():
+            handle.cancel()
+        self.timers.clear()
 
 
 # ----------------------------------------------------------------------

@@ -25,11 +25,10 @@ from repro.membership.messages import (
     RecoveredMessage,
     RecoveryStatus,
 )
-from repro.membership.effects import (
+from repro.core.events import (
     SendControl,
     SetTimer,
     CancelTimer,
-    DeliverMessage,
     DeliverConfiguration,
 )
 from repro.membership.ring_id import encode_ring_id, decode_ring_id
@@ -45,7 +44,6 @@ __all__ = [
     "SendControl",
     "SetTimer",
     "CancelTimer",
-    "DeliverMessage",
     "DeliverConfiguration",
     "encode_ring_id",
     "decode_ring_id",

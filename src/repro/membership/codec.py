@@ -2,7 +2,10 @@
 
 Extends the core codec's type space (data=1, token=2) with join=3,
 commit=4, recovered=5, status=6, beacon=7.  :func:`decode_any` decodes
-every wire message type used by the runtime.
+every wire message type used by the runtime and, like the core decoders,
+raises only :class:`~repro.util.errors.CodecError` on malformed input:
+every fixed part and every counted array is length-checked before it is
+unpacked.
 """
 
 from __future__ import annotations
@@ -44,6 +47,19 @@ _STATUS_HEADER = struct.Struct("!BBIQQBI")
 _BEACON_HEADER = struct.Struct("!BBIQ")
 
 
+def _unpack(layout: struct.Struct, data: bytes, offset: int, what: str) -> tuple:
+    if len(data) < offset + layout.size:
+        raise CodecError(f"truncated {what}: {len(data)} bytes")
+    return layout.unpack_from(data, offset)
+
+
+def _unpack_array(code: str, count: int, data: bytes, offset: int, what: str) -> tuple:
+    need = offset + count * struct.calcsize(f"!{code}")
+    if len(data) < need:
+        raise CodecError(f"truncated {what}: need {need} bytes, got {len(data)}")
+    return struct.unpack_from(f"!{count}{code}", data, offset)
+
+
 def encode_join(message: JoinMessage) -> bytes:
     proc = sorted(message.proc_set)
     fail = sorted(message.fail_set)
@@ -55,8 +71,8 @@ def encode_join(message: JoinMessage) -> bytes:
 
 
 def _decode_join(data: bytes) -> JoinMessage:
-    _m, _t, sender, ring_seq, n_proc, n_fail = _JOIN_HEADER.unpack_from(data)
-    values = struct.unpack_from(f"!{n_proc + n_fail}I", data, _JOIN_HEADER.size)
+    _m, _t, sender, ring_seq, n_proc, n_fail = _unpack(_JOIN_HEADER, data, 0, "join")
+    values = _unpack_array("I", n_proc + n_fail, data, _JOIN_HEADER.size, "join sets")
     return JoinMessage(
         sender=sender,
         proc_set=frozenset(values[:n_proc]),
@@ -85,10 +101,14 @@ def encode_commit(token: CommitToken) -> bytes:
 
 
 def _decode_commit(data: bytes) -> CommitToken:
-    _m, _t, ring_id, rotation, n_members, n_infos = _COMMIT_HEADER.unpack_from(data)
+    _m, _t, ring_id, rotation, n_members, n_infos = _unpack(
+        _COMMIT_HEADER, data, 0, "commit token"
+    )
     offset = _COMMIT_HEADER.size
-    members = struct.unpack_from(f"!{n_members}I", data, offset)
+    members = _unpack_array("I", n_members, data, offset, "commit members")
     offset += 4 * n_members
+    if len(data) < offset + n_infos * _COMMIT_INFO.size:
+        raise CodecError(f"truncated commit infos: {len(data)} bytes")
     infos = {}
     for _ in range(n_infos):
         pid, old_ring, old_aru, high_seq, last_delivered = _COMMIT_INFO.unpack_from(
@@ -111,7 +131,7 @@ def encode_recovered(message: RecoveredMessage) -> bytes:
 
 
 def _decode_recovered(data: bytes) -> RecoveredMessage:
-    _m, _t, old_ring_id, inner_len = _RECOVERED_HEADER.unpack_from(data)
+    _m, _t, old_ring_id, inner_len = _unpack(_RECOVERED_HEADER, data, 0, "recovered")
     inner = data[_RECOVERED_HEADER.size : _RECOVERED_HEADER.size + inner_len]
     if len(inner) != inner_len:
         raise CodecError("truncated recovered message")
@@ -136,8 +156,10 @@ def encode_status(status: RecoveryStatus) -> bytes:
 
 
 def _decode_status(data: bytes) -> RecoveryStatus:
-    _m, _t, sender, new_ring, old_ring, complete, n_have = _STATUS_HEADER.unpack_from(data)
-    have = struct.unpack_from(f"!{n_have}Q", data, _STATUS_HEADER.size)
+    _m, _t, sender, new_ring, old_ring, complete, n_have = _unpack(
+        _STATUS_HEADER, data, 0, "status"
+    )
+    have = _unpack_array("Q", n_have, data, _STATUS_HEADER.size, "status seqs")
     return RecoveryStatus(
         sender=sender,
         new_ring_id=new_ring,
@@ -152,7 +174,7 @@ def encode_beacon(beacon: BeaconMessage) -> bytes:
 
 
 def _decode_beacon(data: bytes) -> BeaconMessage:
-    _m, _t, sender, ring_id = _BEACON_HEADER.unpack_from(data)
+    _m, _t, sender, ring_id = _unpack(_BEACON_HEADER, data, 0, "beacon")
     return BeaconMessage(sender=sender, ring_id=ring_id)
 
 

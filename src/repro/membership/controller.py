@@ -32,20 +32,20 @@ from typing import (
 )
 
 from repro.core.config import ProtocolConfig
-from repro.core.events import Deliver, DeliverBatch, Effect, SendToken, Stable
+from repro.core.events import (
+    CancelTimer,
+    Deliver,
+    DeliverConfiguration,
+    Effect,
+    SendControl,
+    SendToken,
+    SetTimer,
+)
 from repro.core.messages import DataMessage, DeliveryService
 from repro.core.original import OriginalRingParticipant
 from repro.core.participant import AcceleratedRingParticipant
 from repro.core.token import RegularToken, initial_token
 from repro.evs.configuration import Configuration
-from repro.membership.effects import (
-    CancelTimer,
-    DeliverConfiguration,
-    DeliverMessage,
-    DeliverMessageBatch,
-    SendControl,
-    SetTimer,
-)
 from repro.membership.messages import (
     BeaconMessage,
     CommitToken,
@@ -348,36 +348,17 @@ class MembershipController:
         return AcceleratedRingParticipant if self.accelerated else OriginalRingParticipant
 
     def _translate(self, core_effects: Sequence[Effect], effects: List[Effect]) -> None:
+        """Pass the engine's effects through, stamping each delivery run
+        with the installed configuration."""
         assert self.ring_config is not None
+        config_id = self.ring_config.config_id
+        observer = self.observer
         for effect in core_effects:
-            if isinstance(effect, Deliver):
-                effects.append(
-                    DeliverMessage(
-                        message=effect.message,
-                        config_id=self.ring_config.config_id,
-                        origin_ring=self.ring_config.config_id,
-                    )
-                )
-                if self.observer is not None:
-                    self.observer.on_deliver(
-                        self.pid, effect.message, now=self._now()
-                    )
-            elif isinstance(effect, DeliverBatch):
-                effects.append(
-                    DeliverMessageBatch(
-                        messages=effect.messages,
-                        config_id=self.ring_config.config_id,
-                        origin_ring=self.ring_config.config_id,
-                    )
-                )
-                if self.observer is not None:
-                    self.observer.on_deliver_batch(
-                        self.pid, effect.messages, now=self._now()
-                    )
-            elif isinstance(effect, Stable):
-                pass
-            else:
-                effects.append(effect)
+            if effect.__class__ is Deliver:
+                effect.config_id = effect.origin_ring = config_id
+                if observer is not None:
+                    observer.on_deliver_batch(self.pid, effect.messages, now=self._now())
+            effects.append(effect)
 
     def _on_regular_token(self, token: RegularToken, effects: List[Effect]) -> None:
         if self.state is MemberState.OPERATIONAL and token.ring_id == self.ring_id:
@@ -404,10 +385,7 @@ class MembershipController:
                 self._translate(core, effects)
             else:
                 # Delay deliveries until recovery decides attribution.
-                for effect in core:
-                    if not isinstance(effect, (Deliver, DeliverBatch, Stable)):
-                        effects.append(effect)
-                self._rewind_deliveries(core)
+                self._withhold_deliveries(core, effects)
             return
         if self._rec is not None and message.ring_id == self._rec.new_ring_id:
             self._stash.append(message)
@@ -437,27 +415,30 @@ class MembershipController:
             if self.state is MemberState.OPERATIONAL:
                 self._translate(core, effects)
             else:
-                for effect in core:
-                    if not isinstance(effect, (Deliver, DeliverBatch, Stable)):
-                        effects.append(effect)
-                self._rewind_deliveries(core)
+                self._withhold_deliveries(core, effects)
             return effects
         for message in messages:
             self._on_data(message, effects)
         return effects
 
-    def _rewind_deliveries(self, core_effects: Sequence[Effect]) -> None:
+    def _withhold_deliveries(
+        self, core_effects: Sequence[Effect], effects: List[Effect]
+    ) -> None:
         """While not Operational, the ordering engine must not advance its
         delivery frontier (recovery owns attribution).  The engine has no
-        un-deliver operation, so instead we roll its frontier back."""
+        un-deliver operation, so its delivery runs are dropped and its
+        frontier rolled back; every other effect passes through."""
         assert self.ordering is not None
-        seqs = [
-            e.message.seq if isinstance(e, Deliver) else e.messages[0].seq
-            for e in core_effects
-            if isinstance(e, (Deliver, DeliverBatch))
-        ]
-        if seqs:
-            self.ordering.rollback_delivery_frontier(min(seqs) - 1)
+        first_seq = None
+        for effect in core_effects:
+            if effect.__class__ is Deliver:
+                seq = effect.messages[0].seq
+                if first_seq is None or seq < first_seq:
+                    first_seq = seq
+            else:
+                effects.append(effect)
+        if first_seq is not None:
+            self.ordering.rollback_delivery_frontier(first_seq - 1)
 
     # ------------------------------------------------------------------
     # Gather
@@ -641,7 +622,7 @@ class MembershipController:
             )
         # ``last_delivered`` is the application-visible frontier: while
         # not Operational the controller rolls speculative deliveries
-        # back (_rewind_deliveries), so this is exactly what the local
+        # back (_withhold_deliveries), so this is exactly what the local
         # application saw from the old ring.
         return MemberInfo(
             old_ring_id=self.ordering.ring_id,
@@ -1037,6 +1018,16 @@ class MembershipController:
                 return
         self._finalize_recovery(rec, effects)
 
+    def _deliver_old_ring(
+        self, run: List[DataMessage], rec: _RecoveryState, effects: List[Effect]
+    ) -> None:
+        """Deliver recovered old-ring messages, attributed to the old ring."""
+        if run:
+            messages = tuple(run)
+            effects.append(Deliver(messages, rec.my_old_ring, rec.my_old_ring))
+            if self.observer is not None:
+                self.observer.on_deliver_batch(self.pid, messages, now=self._now())
+
     def _finalize_recovery(self, rec: _RecoveryState, effects: List[Effect]) -> None:
         """Deliver remaining old-ring messages per EVS, install the ring."""
         old_config = self.ring_config
@@ -1055,6 +1046,7 @@ class MembershipController:
             # survivors disagree on the closed ring's delivered set (the
             # seed-7 EVS violation pinned in
             # tests/integration/test_evs_regressions.py).
+            run: List[DataMessage] = []
             seq = ordering.last_delivered + 1
             while seq <= rec.high:
                 message = ordering.buffer.get(seq)
@@ -1062,16 +1054,9 @@ class MembershipController:
                     break
                 if seq > rec.deliver_high and message.service.requires_stability:
                     break
-                effects.append(
-                    DeliverMessage(
-                        message=message,
-                        config_id=rec.my_old_ring,
-                        origin_ring=rec.my_old_ring,
-                    )
-                )
-                if self.observer is not None:
-                    self.observer.on_deliver(self.pid, message, now=self._now())
+                run.append(message)
                 seq += 1
+            self._deliver_old_ring(run, rec, effects)
             # Transitional configuration: my old ring's survivors.
             transitional_members = [m for m in rec.old_members]
             if old_config is not None:
@@ -1086,19 +1071,8 @@ class MembershipController:
                 )
             # Phase 2: everything else recovered, gaps skipped (EVS allows
             # delivery past holes only in the transitional configuration).
-            while seq <= rec.high:
-                message = ordering.buffer.get(seq)
-                if message is not None:
-                    effects.append(
-                        DeliverMessage(
-                            message=message,
-                            config_id=rec.my_old_ring,
-                            origin_ring=rec.my_old_ring,
-                        )
-                    )
-                    if self.observer is not None:
-                        self.observer.on_deliver(self.pid, message, now=self._now())
-                seq += 1
+            held = (ordering.buffer.get(s) for s in range(seq, rec.high + 1))
+            self._deliver_old_ring([m for m in held if m is not None], rec, effects)
             self._old_buffer = ordering.buffer
             self._past_rings.add(ordering.ring_id)
 

@@ -1,7 +1,10 @@
 """Membership control messages.
 
 All control messages travel on the token port class, so the normal-case
-data path never has to inspect them.
+data path never has to inspect them.  Each one sizes itself with
+``wire_size(header_bytes)``, where ``header_bytes`` is the
+implementation's data-message header; only :class:`RecoveredMessage`,
+which wraps a data message, uses it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ class JoinMessage:
     fail_set: FrozenSet[int]
     ring_seq: int
 
-    def wire_size(self) -> int:
+    def wire_size(self, header_bytes: int) -> int:
         return 24 + 4 * (len(self.proc_set) + len(self.fail_set))
 
     def candidates(self) -> FrozenSet[int]:
@@ -64,7 +67,7 @@ class CommitToken:
     infos: Dict[int, MemberInfo] = field(default_factory=dict)
     rotation: int = 0
 
-    def wire_size(self) -> int:
+    def wire_size(self, header_bytes: int) -> int:
         return 32 + 8 * len(self.members) + 32 * len(self.infos)
 
     def copy(self) -> "CommitToken":
@@ -107,7 +110,7 @@ class BeaconMessage:
     sender: int
     ring_id: int
 
-    def wire_size(self) -> int:
+    def wire_size(self, header_bytes: int) -> int:
         return 16
 
 
@@ -128,5 +131,5 @@ class RecoveryStatus:
     have: Tuple[int, ...]
     complete: bool
 
-    def wire_size(self) -> int:
+    def wire_size(self, header_bytes: int) -> int:
         return 32 + 4 * len(self.have)

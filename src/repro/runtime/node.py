@@ -9,12 +9,13 @@ token/data priority discipline over two receive queues.
 
 The datagram path is the shared sans-io transport core
 (:mod:`repro.core.transport_core`): received datagrams queue through
-:class:`FrameRing` rings, outbound multicast runs coalesce through the
-same :class:`CoalescingAccumulator` the simulator prices, and the data
-port is decoded with the port-aware :func:`decode_data_port` (batches
-and single data messages only — the token port carries everything else
-via ``decode_any``).  None of that logic lives here; this module only
-binds it to sockets, timers, and the event loop.
+:class:`FrameRing` rings, effects run through the same
+:class:`EffectInterpreter` the simulator drivers use (so outbound
+multicast runs coalesce exactly as the simulator prices them), and the
+data port is decoded with the port-aware :func:`decode_data_port`
+(batches and single data messages only — the token port carries
+everything else via ``decode_any``).  None of that logic lives here;
+this module only binds it to sockets, timers, and the event loop.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ import asyncio
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.config import ProtocolConfig
-from repro.core.events import Effect, MulticastData, SendToken
+from repro.core.events import Effect
 from repro.core.messages import DataMessage, DeliveryService
+from repro.core.token import RegularToken
 from repro.core.transport_core import (
-    CoalescingAccumulator,
+    EffectInterpreter,
+    EffectPort,
     FrameRing,
     decode_data_port,
     encode_run,
@@ -34,14 +37,6 @@ from repro.core.transport_core import (
 from repro.evs.configuration import Configuration
 from repro.membership.codec import decode_any, encode_any
 from repro.membership.controller import MembershipController
-from repro.membership.effects import (
-    CancelTimer,
-    DeliverConfiguration,
-    DeliverMessage,
-    DeliverMessageBatch,
-    SendControl,
-    SetTimer,
-)
 from repro.membership.params import MembershipTimeouts
 from repro.runtime.transport import PeerAddress, UdpTransport
 from repro.util.errors import CodecError
@@ -65,8 +60,13 @@ ConfigCallback = Callable[[Configuration], None]
 Clock = Callable[[], float]
 
 
-class RingNode:
-    """One process in a (loopback) ring."""
+class RingNode(EffectPort):
+    """One process in a (loopback) ring.
+
+    As the controller's :class:`~repro.core.transport_core.EffectPort` it
+    encodes sends onto UDP, arms timers on the event loop, and hands
+    deliveries to :attr:`on_deliver` / :attr:`on_config`.
+    """
 
     def __init__(
         self,
@@ -111,15 +111,12 @@ class RingNode:
         #: tightened without flaking on slow CI machines, and so message
         #: timestamps / observer events share one time domain.
         self._clock: Optional[Clock] = clock
-        #: Shared run-grouping policy — the same accumulator the sim
-        #: driver prices; here completed runs are encoded with
-        #: ``encode_run`` and put on the wire.  Drained before _execute
-        #: returns, so it never holds messages across effect lists.
-        self._coalescer = CoalescingAccumulator(config.messages_per_datagram)
+        #: The shared interpreter: the same effect dispatch, run
+        #: boundaries and timer table as the simulator drivers.
+        self._effects = EffectInterpreter(self, config.messages_per_datagram)
         self._data_queue = FrameRing()
         self._token_queue = FrameRing()
         self._wakeup = asyncio.Event()
-        self._timers: Dict[str, asyncio.TimerHandle] = {}
         self._loop_task: Optional[asyncio.Task] = None
         self._closed = False
         self.decode_errors = 0
@@ -149,9 +146,7 @@ class RingNode:
     async def stop(self) -> None:
         """Fail-stop this node (crash semantics: nothing is flushed)."""
         self._closed = True
-        for handle in self._timers.values():
-            handle.cancel()
-        self._timers.clear()
+        self._effects.cancel_timers()
         if self._loop_task is not None:
             self._loop_task.cancel()
             try:
@@ -248,68 +243,45 @@ class RingNode:
     def _fire_timer(self, name: str) -> None:
         if self._closed:
             return
-        self._timers.pop(name, None)
+        self._effects.timer_fired(name)
         self._execute(self.controller.on_timer(name))
 
     # ------------------------------------------------------------------
 
-    def _send_run(self, group: List[DataMessage]) -> None:
-        if len(group) > 1:
-            self.batches_sent += 1
-            self.batched_messages += len(group)
-        self.transport.multicast_data(encode_run(group))
-
     def _execute(self, effects: List[Effect]) -> None:
-        loop = asyncio.get_running_loop()
-        # Coalescing mirrors the sim driver exactly: runs of consecutive
-        # new multicasts pack into one datagram, flushed at the first
-        # effect of any other kind (the token must not overtake pre-token
-        # sends) and at the end of the effect list.
-        acc = self._coalescer
-        mpd = acc.mpd
-        for effect in effects:
-            if acc.group is not None and not isinstance(effect, MulticastData):
-                self._send_run(acc.take())
-            if isinstance(effect, MulticastData):
-                if mpd > 1 and not effect.retransmission:
-                    full = acc.push(effect.message)
-                    if full is not None:
-                        self._send_run(full)
-                    continue
-                if acc.group is not None:
-                    self._send_run(acc.take())
-                self.transport.multicast_data(encode_any(effect.message))
-            elif isinstance(effect, SendToken):
-                self.transport.send_token(encode_any(effect.token), effect.destination)
-            elif isinstance(effect, SendControl):
-                self.transport.send_control(encode_any(effect.message), effect.destination)
-            elif isinstance(effect, SetTimer):
-                previous = self._timers.pop(effect.name, None)
-                if previous is not None:
-                    previous.cancel()
-                self._timers[effect.name] = loop.call_later(
-                    effect.delay, self._fire_timer, effect.name
-                )
-            elif isinstance(effect, CancelTimer):
-                handle = self._timers.pop(effect.name, None)
-                if handle is not None:
-                    handle.cancel()
-            elif isinstance(effect, DeliverMessage):
-                self.delivered.append(effect.message)
-                if self.on_deliver is not None:
-                    self.on_deliver(effect.message, effect.config_id)
-            elif isinstance(effect, DeliverMessageBatch):
-                self.delivered.extend(effect.messages)
-                if self.on_deliver is not None:
-                    config_id = effect.config_id
-                    for message in effect.messages:
-                        self.on_deliver(message, config_id)
-            elif isinstance(effect, DeliverConfiguration):
-                self.configurations.append(effect.configuration)
-                if self.on_config is not None:
-                    self.on_config(effect.configuration)
-            else:
-                raise TypeError(f"unknown effect {effect!r}")
-        tail = acc.take()
-        if tail is not None:
-            self._send_run(tail)
+        self._effects.execute(effects)
+
+    # -- EffectPort ------------------------------------------------------
+
+    def send_data(self, message: DataMessage, retransmission: bool) -> None:
+        self.transport.multicast_data(encode_any(message))
+
+    def send_run(self, messages: List[DataMessage]) -> None:
+        self.batches_sent += 1
+        self.batched_messages += len(messages)
+        self.transport.multicast_data(encode_run(messages))
+
+    #: Alias resolved by name by the traced benchmark run
+    #: (perfbench/tracing.py).
+    _send_run = send_run
+
+    def send_token(self, token: RegularToken, destination: int) -> None:
+        self.transport.send_token(encode_any(token), destination)
+
+    def send_control(self, message, destination: Optional[int]) -> None:
+        self.transport.send_control(encode_any(message), destination)
+
+    def schedule_timer(self, name: str, delay: float) -> asyncio.TimerHandle:
+        return asyncio.get_running_loop().call_later(delay, self._fire_timer, name)
+
+    def deliver(self, messages, config_id, origin_ring) -> None:
+        self.delivered.extend(messages)
+        on_deliver = self.on_deliver
+        if on_deliver is not None:
+            for message in messages:
+                on_deliver(message, config_id)
+
+    def deliver_configuration(self, configuration: Configuration) -> None:
+        self.configurations.append(configuration)
+        if self.on_config is not None:
+            self.on_config(configuration)

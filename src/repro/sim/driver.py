@@ -11,18 +11,11 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.core.events import (
-    Deliver,
-    DeliverBatch,
-    Effect,
-    MulticastData,
-    SendToken,
-    Stable,
-)
+from repro.core.events import Effect
 from repro.core.messages import DataMessage, DeliveryService
 from repro.core.participant import AcceleratedRingParticipant
 from repro.core.token import RegularToken
-from repro.core.transport_core import CoalescingAccumulator, batch_wire_size
+from repro.core.transport_core import EffectInterpreter, EffectPort, batch_wire_size
 from repro.net.fragment import CoalescedDatagram, Reassembler, fragment_datagram
 from repro.net.host import SimHost
 from repro.net.packet import Frame, PortKind
@@ -36,8 +29,12 @@ from repro.util.stats import RunStats
 _REASSEMBLY_MAX_AGE = 0.5
 
 
-class ProtocolHost:
+class ProtocolHost(EffectPort):
     """One server: a protocol engine + its host machine + its clients.
+
+    As the engine's :class:`~repro.core.transport_core.EffectPort`, every
+    effect becomes one CPU task, priced with the profile's costs and
+    queued in effect order; the task's callback does the I/O.
 
     ``observer`` defaults to the participant's observer; either way the
     participant's clock is bound to simulated time, so every hook the
@@ -82,14 +79,17 @@ class ProtocolHost:
         # Non-final fragments all cost the same and carry no arguments, so
         # a single shared task tuple serves every one of them.
         self._fragment_task = (profile.fragment_cpu, _noop, ())
-        #: Wire coalescing knob: >1 packs runs of consecutive new sends
-        #: into one datagram (retransmissions always travel alone).
-        self._mpd = participant.config.messages_per_datagram
-        #: Shared run-grouping policy (repro.core.transport_core) — the
-        #: same object type the runtime node batches with; the sim only
-        #: adds CPU pricing on top.  Always drained before _execute
-        #: returns, so it holds no state between effect lists.
-        self._coalescer = CoalescingAccumulator(self._mpd)
+        # Port methods append tasks straight onto the CPU queue (the deque
+        # object lives as long as the host); _execute starts the CPU once
+        # at the end of the effect list.
+        self._cpu = host.cpu
+        self._append_task = host.cpu._queue.append
+        #: The shared interpreter (repro.core.transport_core): effect
+        #: dispatch and the coalescing run boundaries are the same code
+        #: the membership sim and the runtime node run.
+        self._effects = EffectInterpreter(
+            self, participant.config.messages_per_datagram
+        )
         self.coalesced_datagrams = 0
         self.coalesced_messages = 0
         if participant.clock is None:
@@ -253,122 +253,66 @@ class ProtocolHost:
     # ------------------------------------------------------------------
 
     def _execute(self, effects: List[Effect]) -> None:
-        # Cpu.submit is bypassed: tasks are appended straight onto the CPU
-        # queue and the CPU is kicked once at the end.  When _execute runs
-        # inside a CPU task (the normal case) the CPU is busy and the kick
-        # is a no-op, exactly as the per-submit kicks were; when it is
-        # idle, deferring the kick to after the batch starts the same
-        # first task with the same event sequence numbers.
-        cpu = self.host.cpu
-        append = cpu._queue.append
-        queued = False
-        # Coalescing accumulator (shared transport core): runs of
-        # consecutive new multicasts are packed into one datagram task.
-        # Its group stays None (no list allocated) on the default
-        # messages_per_datagram=1 path.
-        mpd = self._mpd
-        acc = self._coalescer
-        for effect in effects:
-            kind = type(effect)
-            # A run of coalescible multicasts ends at the first effect of
-            # any other kind: flush before it so tasks keep effect order
-            # (the token must not overtake pre-token sends).
-            if acc.group is not None and kind is not MulticastData:
-                append(self._coalesced_task(acc.take()))
-            # Deliver dominates (one per delivered message vs one
-            # MulticastData per send), so it is tested first.
-            if kind is Deliver:
-                append((self._deliver_cpu, self._run_delivery, (effect.message,)))
-            elif kind is DeliverBatch:
-                # One CPU task for the whole run, at the same total cost k
-                # scalar deliveries would have charged: the CPU's busy time
-                # and every subsequent task's start time are unchanged, so
-                # transmit timing (and the seeded traces built on it) stays
-                # identical — only the per-message delivery records move to
-                # the batch end.
-                messages = effect.messages
-                append(
-                    (
-                        self._deliver_cpu * len(messages),
-                        self._run_delivery_batch,
-                        (messages,),
-                    )
-                )
-            elif kind is MulticastData:
-                message = effect.message
-                if mpd > 1 and not effect.retransmission:
-                    # Retransmissions precede new sends in effect order,
-                    # so accumulating only new messages keeps the wire
-                    # order of this effect list intact.
-                    full = acc.push(message)
-                    if full is not None:
-                        append(self._coalesced_task(full))
-                    queued = True
-                    continue
-                if acc.group is not None:
-                    append(self._coalesced_task(acc.take()))
-                # profile.send_cost(message.wire_size(header)) inlined —
-                # identical arithmetic shape.
-                append(
-                    (
-                        self._send_cpu
-                        + self._per_byte_send
-                        * (self._header_bytes + int(message.payload_size)),
-                        self._run_multicast,
-                        (message, effect.retransmission),
-                    )
-                )
-            elif kind is SendToken:
-                append(
-                    (
-                        self._token_send_cpu,
-                        self._run_token_send,
-                        (effect.token, effect.destination),
-                    )
-                )
-            elif kind is Stable:
-                continue
-            else:
-                raise TypeError(f"unknown effect {effect!r}")
-            queued = True
-        tail = acc.take()
-        if tail is not None:
-            append(self._coalesced_task(tail))
-        if queued and not cpu._busy:
+        # Cpu.submit is bypassed: the port methods append tasks straight
+        # onto the CPU queue and the CPU is started once at the end.
+        # Inside a CPU task (the normal case) the CPU is busy and this is
+        # a no-op; when it is idle, starting after the whole list gives
+        # the first task the same event sequence number a per-task kick
+        # would, so seeded traces do not depend on the batching.
+        self._effects.execute(effects)
+        cpu = self._cpu
+        if not cpu._busy and cpu._queue:
             cpu._start_next()
 
-    def _coalesced_task(
-        self, group: List[DataMessage]
-    ) -> Tuple[float, Callable[..., None], tuple]:
-        if len(group) == 1:
-            # A run of one gains nothing from the batch frame: send it as
-            # a plain datagram with the exact single-message arithmetic.
-            message = group[0]
-            return (
+    # -- EffectPort: one priced CPU task per effect ---------------------
+
+    def send_data(self, message: DataMessage, retransmission: bool) -> None:
+        # profile.send_cost(message.wire_size(header)) inlined —
+        # identical arithmetic shape.
+        self._append_task(
+            (
                 self._send_cpu
-                + self._per_byte_send
-                * (self._header_bytes + int(message.payload_size)),
+                + self._per_byte_send * (self._header_bytes + int(message.payload_size)),
                 self._run_multicast,
-                (message, False),
+                (message, retransmission),
             )
-        size = batch_wire_size(group, self._header_bytes)
-        datagram = CoalescedDatagram(tuple(group), size - self._header_bytes)
+        )
+
+    def send_run(self, messages: List[DataMessage]) -> None:
+        size = batch_wire_size(messages, self._header_bytes)
+        datagram = CoalescedDatagram(tuple(messages), size - self._header_bytes)
         # One send_cpu for the whole datagram — the coalescing win — but
         # every wire byte (batch framing included) still costs
         # per_byte_send, mirroring encode_data_batch's real format.
-        return (
-            self._send_cpu + self._per_byte_send * size,
-            self._run_multicast_coalesced,
-            (datagram,),
+        self._append_task(
+            (
+                self._send_cpu + self._per_byte_send * size,
+                self._run_multicast_coalesced,
+                (datagram,),
+            )
         )
 
-    def _run_multicast(self, message: DataMessage, retransmission: bool) -> None:
-        size = self._header_bytes + int(message.payload_size)
+    def send_token(self, token: RegularToken, destination: int) -> None:
+        self._append_task((self._token_send_cpu, self._run_token_send, (token, destination)))
+
+    def deliver(self, messages: Tuple[DataMessage, ...], config_id, origin_ring) -> None:
+        # One CPU task for the whole run, priced per message: the CPU's
+        # busy time, and so every later task's start time, does not
+        # depend on how the engine chunked the run.
+        self._append_task(
+            (self._deliver_cpu * len(messages), self._run_delivery, (messages,))
+        )
+
+    # -- CPU task callbacks ---------------------------------------------
+
+    def _run_multicast(self, message, retransmission: bool) -> None:
+        # ``message`` is a DataMessage or a CoalescedDatagram: both put
+        # header + payload_size bytes on the wire.
         frames = fragment_datagram(
             src=self.participant.pid,
             dst=None,
             kind=PortKind.DATA,
-            size=size,
+            size=self._header_bytes + int(message.payload_size),
             payload=message,
             mtu=self.host.params.mtu,
         )
@@ -382,21 +326,7 @@ class ProtocolHost:
             self.stats.retransmissions += 1
 
     def _run_multicast_coalesced(self, datagram: CoalescedDatagram) -> None:
-        size = self._header_bytes + datagram.payload_size
-        frames = fragment_datagram(
-            src=self.participant.pid,
-            dst=None,
-            kind=PortKind.DATA,
-            size=size,
-            payload=datagram,
-            mtu=self.host.params.mtu,
-        )
-        on_transmit = self.on_transmit
-        send = self.host.nic.send
-        for frame in frames:
-            if on_transmit is not None:
-                on_transmit(frame)
-            send(frame)
+        self._run_multicast(datagram, False)
         self.coalesced_datagrams += 1
         self.coalesced_messages += len(datagram.messages)
 
@@ -412,28 +342,9 @@ class ProtocolHost:
             self.on_transmit(frame)
         self.host.nic.send(frame)
 
-    def _run_delivery(self, message: DataMessage) -> None:
-        now = self.host.sim.now
-        observer = self.observer
-        if observer is not None:
-            observer.on_deliver(self.participant.pid, message, now=now)
-        on_deliver = self.on_deliver
-        if on_deliver is not None:
-            on_deliver(message)
-        if self.keep_delivered_log:
-            self.delivered_log.append(message)
-        timestamp = message.timestamp
-        if timestamp is not None and timestamp >= self.measure_from:
-            # payload_size is always a non-negative int (DataMessage
-            # defaults it to len(payload)), so the old int(... or 0)
-            # coercion is value-identical and dropped.
-            self.stats.record_delivery(
-                now, message.pid, now - timestamp, message.payload_size
-            )
-
-    def _run_delivery_batch(self, messages: Tuple[DataMessage, ...]) -> None:
-        # The batched mirror of _run_delivery: one hook call, one tracer
-        # callback, and one stats loop for the whole in-order run.
+    def _run_delivery(self, messages: Tuple[DataMessage, ...]) -> None:
+        # One hook call, one tracer callback and one stats loop for the
+        # whole in-order run.
         now = self.host.sim.now
         observer = self.observer
         if observer is not None:
@@ -449,6 +360,10 @@ class ProtocolHost:
         if self.keep_delivered_log:
             self.delivered_log.extend(messages)
         self.stats.record_delivery_batch(now, messages, self.measure_from)
+
+    #: Alias resolved by name by the traced benchmark run
+    #: (perfbench/tracing.py).
+    _run_delivery_batch = _run_delivery
 
 
 def _noop() -> None:

@@ -15,20 +15,15 @@ import warnings
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import ProtocolConfig
-from repro.core.events import Effect, MulticastData, SendToken
-from repro.core.messages import DeliveryService
+from repro.core.events import Effect
+from repro.core.messages import DataMessage, DeliveryService
+from repro.core.token import RegularToken
+from repro.core.transport_core import EffectInterpreter, EffectPort, batch_wire_size
 from repro.evs.checker import EvsChecker
 from repro.evs.events import ConfigDelivery, MessageDelivery
 from repro.membership.controller import MembershipController
-from repro.membership.effects import (
-    CancelTimer,
-    DeliverConfiguration,
-    DeliverMessage,
-    DeliverMessageBatch,
-    SendControl,
-    SetTimer,
-)
 from repro.membership.params import MembershipTimeouts
+from repro.net.fragment import CoalescedDatagram
 from repro.net.host import SimHost
 from repro.net.loss import LossModel
 from repro.net.packet import Frame, PortKind
@@ -76,8 +71,13 @@ class DeliveryTap:
         """``pid``'s crashed process was restarted with empty state."""
 
 
-class MembershipHost:
-    """One server running the full membership + ordering stack."""
+class MembershipHost(EffectPort):
+    """One server running the full membership + ordering stack.
+
+    As the controller's :class:`~repro.core.transport_core.EffectPort` it
+    puts frames on the NIC at once (sends are not priced in CPU time) and
+    records deliveries in the EVS checker and the tap.
+    """
 
     def __init__(
         self,
@@ -94,7 +94,12 @@ class MembershipHost:
         self.tap = tap
         self.delivered: List[object] = []
         self.configurations: List[object] = []
-        self._timers: Dict[str, object] = {}
+        self._header_bytes = profile.data_header_bytes
+        #: The shared interpreter (repro.core.transport_core): it owns the
+        #: named-timer table and the coalescing run boundaries.
+        self._effects = EffectInterpreter(
+            self, controller.protocol_config.messages_per_datagram
+        )
         self._paused = False
         #: Latched on crash and never cleared: the *incarnation* is dead.
         #: The SimHost may be recovered and reused by a fresh
@@ -140,9 +145,7 @@ class MembershipHost:
         """Fail-stop: drop all timers and stop processing, permanently."""
         self._dead = True
         self.host.crash()
-        for handle in self._timers.values():
-            handle.cancel()
-        self._timers.clear()
+        self._effects.cancel_timers()
         self._paused = False
         self._deferred_timers.clear()
 
@@ -186,12 +189,16 @@ class MembershipHost:
         # its simulator event; the dead latch turns it into a no-op.
         if self._dead:
             return
-        self._execute(self.controller.on_message(frame.payload))
+        payload = frame.payload
+        if payload.__class__ is CoalescedDatagram:
+            self._execute(self.controller.on_data_batch(payload.messages))
+        else:
+            self._execute(self.controller.on_message(payload))
 
     def _fire_timer(self, name: str) -> None:
         if self._dead or self.host.crashed:
             return
-        self._timers.pop(name, None)
+        self._effects.timer_fired(name)
         if self._paused:
             self._deferred_timers.append(name)
             return
@@ -201,103 +208,59 @@ class MembershipHost:
     # ------------------------------------------------------------------
 
     def _execute(self, effects: List[Effect]) -> None:
-        for effect in effects:
-            if isinstance(effect, MulticastData):
-                message = effect.message
-                size = message.wire_size(self.profile.data_header_bytes)
-                self.host.nic.send(
-                    Frame(src=self.pid, dst=None, kind=PortKind.DATA, size=size, payload=message)
-                )
-            elif isinstance(effect, SendToken):
-                self.host.nic.send(
-                    Frame(
-                        src=self.pid,
-                        dst=effect.destination,
-                        kind=PortKind.TOKEN,
-                        size=effect.token.wire_size(),
-                        payload=effect.token,
+        self._effects.execute(effects)
+
+    # -- EffectPort ------------------------------------------------------
+
+    def _send(self, kind: PortKind, destination: Optional[int], size: int, payload) -> None:
+        self.host.nic.send(
+            Frame(src=self.pid, dst=destination, kind=kind, size=size, payload=payload)
+        )
+
+    def send_data(self, message: DataMessage, retransmission: bool) -> None:
+        self._send(PortKind.DATA, None, message.wire_size(self._header_bytes), message)
+
+    def send_run(self, messages: List[DataMessage]) -> None:
+        size = batch_wire_size(messages, self._header_bytes)
+        datagram = CoalescedDatagram(tuple(messages), size - self._header_bytes)
+        self._send(PortKind.DATA, None, size, datagram)
+
+    def send_token(self, token: RegularToken, destination: int) -> None:
+        self._send(PortKind.TOKEN, destination, token.wire_size(), token)
+
+    def send_control(self, message, destination: Optional[int]) -> None:
+        self._send(PortKind.TOKEN, destination, message.wire_size(self._header_bytes), message)
+
+    def schedule_timer(self, name: str, delay: float):
+        return self.host.sim.schedule(delay, self._fire_timer, name)
+
+    def deliver(self, messages, config_id, origin_ring) -> None:
+        # Per-message checker events in delivery order (one extend), but a
+        # single tap hook for the whole run.
+        self.delivered.extend(messages)
+        if self.checker is not None:
+            self.checker.record_batch(
+                self.pid,
+                [
+                    MessageDelivery(
+                        seq=message.seq,
+                        sender=message.pid,
+                        service=message.service,
+                        config_id=config_id,
+                        origin_ring=origin_ring,
                     )
-                )
-            elif isinstance(effect, SendControl):
-                payload = effect.message
-                if hasattr(payload, "wire_size"):
-                    try:
-                        size = payload.wire_size()
-                    except TypeError:
-                        size = payload.wire_size(self.profile.data_header_bytes)
-                else:
-                    size = 64
-                self.host.nic.send(
-                    Frame(
-                        src=self.pid,
-                        dst=effect.destination,
-                        kind=PortKind.TOKEN,
-                        size=size,
-                        payload=payload,
-                    )
-                )
-            elif isinstance(effect, SetTimer):
-                previous = self._timers.pop(effect.name, None)
-                if previous is not None:
-                    previous.cancel()
-                self._timers[effect.name] = self.host.sim.schedule(
-                    effect.delay, self._fire_timer, effect.name
-                )
-            elif isinstance(effect, CancelTimer):
-                handle = self._timers.pop(effect.name, None)
-                if handle is not None:
-                    handle.cancel()
-            elif isinstance(effect, DeliverMessage):
-                self.delivered.append(effect.message)
-                if self.checker is not None:
-                    self.checker.record(
-                        self.pid,
-                        MessageDelivery(
-                            seq=effect.message.seq,
-                            sender=effect.message.pid,
-                            service=effect.message.service,
-                            config_id=effect.config_id,
-                            origin_ring=effect.origin_ring,
-                        ),
-                    )
-                if self.tap is not None:
-                    self.tap.on_deliver(
-                        self.pid, effect.message, effect.config_id, effect.origin_ring
-                    )
-            elif isinstance(effect, DeliverMessageBatch):
-                # Expand the run in delivery order: per-message checker
-                # events (one extend, not len(batch) record calls) but a
-                # single tap hook for the whole slice.
-                messages = effect.messages
-                self.delivered.extend(messages)
-                if self.checker is not None:
-                    config_id = effect.config_id
-                    origin_ring = effect.origin_ring
-                    self.checker.record_batch(
-                        self.pid,
-                        [
-                            MessageDelivery(
-                                seq=message.seq,
-                                sender=message.pid,
-                                service=message.service,
-                                config_id=config_id,
-                                origin_ring=origin_ring,
-                            )
-                            for message in messages
-                        ],
-                    )
-                if self.tap is not None:
-                    self.tap.on_deliver_batch(
-                        self.pid, messages, effect.config_id, effect.origin_ring
-                    )
-            elif isinstance(effect, DeliverConfiguration):
-                self.configurations.append(effect.configuration)
-                if self.checker is not None:
-                    self.checker.record(self.pid, ConfigDelivery(effect.configuration))
-                if self.tap is not None:
-                    self.tap.on_config(self.pid, effect.configuration)
-            else:
-                raise TypeError(f"unknown effect {effect!r}")
+                    for message in messages
+                ],
+            )
+        if self.tap is not None:
+            self.tap.on_deliver_batch(self.pid, messages, config_id, origin_ring)
+
+    def deliver_configuration(self, configuration) -> None:
+        self.configurations.append(configuration)
+        if self.checker is not None:
+            self.checker.record(self.pid, ConfigDelivery(configuration))
+        if self.tap is not None:
+            self.tap.on_config(self.pid, configuration)
 
 
 class MembershipCluster:

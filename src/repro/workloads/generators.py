@@ -34,8 +34,10 @@ def _submitters(cluster) -> List[Submitter]:
     """
     try:
         drivers = cluster.drivers
-    except ConfigurationError:
-        drivers = None  # membership-mode MultiRingCluster
+    except (AttributeError, ConfigurationError):
+        # MembershipCluster has no drivers; a membership-mode
+        # MultiRingCluster refuses to hand them out.
+        drivers = None
     if drivers is not None:
         return [drivers[pid].client_submit for pid in sorted(drivers)]
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.core.config import ProtocolConfig
-from repro.core.events import Deliver, DeliverBatch
+from repro.core.events import Deliver
 from repro.core.messages import DataMessage, DeliveryService
 from repro.net.simulator import Simulator
 
@@ -152,18 +152,17 @@ def submit_n(participant, n, service=DeliveryService.AGREED, payload=b"x"):
 
 
 def drain_effects(effects, effect_type):
-    """Messages/tokens of one effect type, in order.
+    """Effects of one type, in order.
 
-    Asking for ``Deliver`` transparently expands ``DeliverBatch`` runs
-    into per-message ``Deliver`` effects, so delivery-order assertions
-    hold regardless of how the engine chunked the in-order run.
+    Asking for ``Deliver`` returns the delivered *messages* (each delivery
+    run expanded in order), so delivery-order assertions hold regardless
+    of how the engine chunked the in-order run.
     """
     if effect_type is Deliver:
-        out = []
-        for effect in effects:
-            if isinstance(effect, Deliver):
-                out.append(effect)
-            elif isinstance(effect, DeliverBatch):
-                out.extend(Deliver(message) for message in effect.messages)
-        return out
+        return [
+            message
+            for effect in effects
+            if isinstance(effect, Deliver)
+            for message in effect.messages
+        ]
     return [effect for effect in effects if isinstance(effect, effect_type)]

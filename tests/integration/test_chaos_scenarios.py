@@ -6,12 +6,17 @@ acceptance bar for `repro chaos`.
 """
 
 import json
+import random
 
 import pytest
 
 from repro.cli import main
+from repro.core.config import ProtocolConfig
 from repro.faults import SCENARIOS, run_scenario
+from repro.sim.build import ClusterBuilder
+from repro.sim.membership_driver import MembershipHost
 from repro.util.errors import FaultError
+
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -23,6 +28,42 @@ def test_scenario_passes_evs_and_converges(name):
     # Every scenario actually injected something and moved traffic.
     assert report.events
     assert sum(report.deliveries.values()) > 0
+
+
+def test_coalesced_bursts_survive_leader_crash(monkeypatch):
+    """messages_per_datagram=4: bursts coalesce in the membership sim
+    while the seeded leader-crash plan crashes and restarts pid 0, and
+    the EVS check passes."""
+    runs = []
+
+    def counting(self, messages, _send=MembershipHost.send_run):
+        runs.append(len(messages))
+        _send(self, messages)
+
+    monkeypatch.setattr(MembershipHost, "send_run", counting)
+    rng = random.Random(7)
+    cluster, injector = (
+        ClusterBuilder()
+        .hosts(4)
+        .membership()
+        .config(ProtocolConfig(messages_per_datagram=4))
+        .faults(SCENARIOS["leader-crash"].plan(rng))
+        .build_with_injector(rng=rng)
+    )
+
+    def burst(pid):
+        for _ in range(6):
+            cluster.hosts[pid].submit(payload_size=64)
+
+    for step in range(40):
+        for pid in range(4):
+            cluster.sim.schedule_at(0.01 * step + 0.001 * pid, burst, pid)
+    cluster.start()
+    cluster.run(1.0)
+    assert set(cluster.states().values()) == {"operational"}
+    assert set(cluster.rings().values()) == {(0, 1, 2, 3)}
+    cluster.checker.check(crashed=injector.plan.crashed_pids())
+    assert runs and max(runs) == 4
 
 
 def test_same_seed_reports_are_byte_identical():

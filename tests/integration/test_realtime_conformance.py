@@ -18,6 +18,9 @@ from repro.conformance.realtime import (
     run_realtime_differential,
     run_sim_serialized,
 )
+from repro.core.config import ProtocolConfig
+from repro.runtime.node import RingNode
+from repro.sim.membership_driver import MembershipHost
 
 #: Small workload so each oracle run stays in CI-smoke territory.
 WORKLOAD = RealtimeWorkload(
@@ -30,6 +33,27 @@ def test_fault_free_streams_identical():
     assert report.ok, [d.describe() for d in report.divergences]
     assert report.deliveries["sim"] == report.deliveries["real"] > 0
     assert report.converged == {"sim": True, "real": True}
+
+
+def test_coalesced_streams_identical(monkeypatch):
+    """messages_per_datagram=4 on both sides: each burst coalesces in the
+    membership sim and on the wire, and the streams stay identical."""
+    runs = {"sim": [], "real": []}
+    for cls, side in ((MembershipHost, "sim"), (RingNode, "real")):
+        def counting(self, messages, _send=cls.send_run, _runs=runs[side]):
+            _runs.append(len(messages))
+            _send(self, messages)
+
+        monkeypatch.setattr(cls, "send_run", counting)
+    report = run_realtime_differential(
+        workload=WORKLOAD,
+        crash=False,
+        protocol_config=ProtocolConfig(messages_per_datagram=4),
+    )
+    assert report.ok, [d.describe() for d in report.divergences]
+    assert report.deliveries["sim"] == report.deliveries["real"] > 0
+    assert runs["sim"] and runs["real"]
+    assert max(runs["sim"] + runs["real"]) <= 4
 
 
 def test_crash_restart_calm_prefixes_agree():

@@ -3,21 +3,29 @@
 The sim-layer fences live in tests/property/test_spread_boundaries.py;
 these re-pin the same edges end to end through actual sockets: payloads
 at the fragmentation chunk fence (MTU−1 / MTU / MTU+1) must survive the
-full daemon pipeline, and a ring configured for maximum datagram
-packing must coalesce while delivering the identical total order.
+full daemon pipeline, a ring configured for maximum datagram packing
+must coalesce while delivering the identical total order, and a
+malformed datagram must be counted, not crash the receive loop.
 """
 
 import asyncio
 import os
+import socket
 import tempfile
 
+from repro.core.codec import MAGIC
 from repro.core.config import ProtocolConfig
-from repro.core.messages import DeliveryService
+from repro.membership.codec import TYPE_COMMIT, TYPE_JOIN, TYPE_STATUS
 from repro.runtime.node import RingNode
 from repro.runtime.ports import ephemeral_ring_addresses
 from repro.spread.client_api import SpreadClient
 from repro.spread.daemon import SpreadDaemon
-from tests.integration.test_runtime import FAST_TIMEOUTS, wait_until
+from tests.integration.test_runtime import (
+    FAST_TIMEOUTS,
+    start_ring,
+    stop_all,
+    wait_until,
+)
 
 #: The spread pipeline's default pack budget / fragmentation chunk size.
 MTU = 1350
@@ -148,5 +156,38 @@ def test_single_message_never_batched():
         finally:
             for node in nodes:
                 await node.stop()
+
+    asyncio.run(scenario())
+
+
+def test_short_control_datagram_on_token_port_is_counted_not_fatal():
+    """Magic, a JOIN/COMMIT/STATUS type byte, then 17 zero bytes: each
+    is a decode error on a live node's token port, and the ring keeps
+    ordering traffic afterwards."""
+
+    async def scenario():
+        nodes = await start_ring(3)
+        try:
+            target = nodes[1]
+            address = target.transport.peers[target.pid]
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                for msg_type in (TYPE_JOIN, TYPE_COMMIT, TYPE_STATUS):
+                    sock.sendto(
+                        bytes([MAGIC, msg_type]) + bytes(17),
+                        (address.host, address.token_port),
+                    )
+            finally:
+                sock.close()
+            assert await wait_until(lambda: target.decode_errors >= 3)
+            for index in range(10):
+                nodes[0].submit(payload=b"after-%d" % index)
+            assert await wait_until(
+                lambda: all(len(node.delivered) >= 10 for node in nodes)
+            ), [len(node.delivered) for node in nodes]
+            assert target.decode_errors == 3
+            assert not target._loop_task.done()
+        finally:
+            await stop_all(nodes)
 
     asyncio.run(scenario())

@@ -20,7 +20,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ProtocolConfig
-from repro.core.events import Deliver, DeliverBatch
+from repro.core.events import Deliver
 from repro.core.messages import DataMessage, DeliveryService
 from repro.core.participant import AcceleratedRingParticipant
 from repro.obs.observer import ProtocolObserver
@@ -56,14 +56,10 @@ def _message(seq: int, service: DeliveryService, ring_id: int) -> DataMessage:
 
 def _flatten(effects, observer, pid):
     """Deliveries from an effect list, firing the observer the way the
-    hosting layers do (scalar hook for Deliver, batch hook for
-    DeliverBatch)."""
+    hosting layers do (one batch hook per delivery run)."""
     out = []
     for effect in effects:
         if isinstance(effect, Deliver):
-            observer.on_deliver(pid, effect.message)
-            out.append(effect.message)
-        elif isinstance(effect, DeliverBatch):
             observer.on_deliver_batch(pid, effect.messages)
             out.extend(effect.messages)
     return out

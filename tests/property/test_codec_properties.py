@@ -2,6 +2,7 @@
 
 import struct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.codec import (
@@ -12,10 +13,19 @@ from repro.core.codec import (
     TYPE_TOKEN,
     decode,
     encode,
+    encode_data_batch,
 )
 from repro.core.messages import DataMessage, DeliveryService
 from repro.core.token import RegularToken
-from repro.membership.codec import decode_any, encode_any
+from repro.core.transport_core import decode_data_port
+from repro.membership.codec import (
+    TYPE_COMMIT,
+    TYPE_JOIN,
+    TYPE_STATUS,
+    decode_any,
+    encode_any,
+)
+from repro.util.errors import CodecError
 from repro.spread.fragmentation import Fragmenter, FragmentReassembler
 from repro.membership.messages import (
     BeaconMessage,
@@ -269,3 +279,83 @@ def test_fragmenter_chunks_match_reference_and_reassemble(payload, chunk_size):
         result = reassembler.accept(0, fragment)
     assert result == payload
     assert reassembler.partial_count == 0
+
+
+# ---------------------------------------------------------------------------
+# Wire boundary: a receive loop counts malformed datagrams and carries on,
+# so a decoder fed mutated bytes may raise CodecError and nothing else.
+# ---------------------------------------------------------------------------
+
+
+def _commit(members):
+    token = CommitToken(ring_id=members[0] + 1, members=tuple(members), rotation=1)
+    for pid in members[: len(members) // 2 + 1]:
+        token.infos[pid] = MemberInfo(old_ring_id=pid + 1, old_aru=pid, high_seq=pid * 2)
+    return token
+
+
+wire_encodings = st.one_of(
+    data_messages.map(encode),
+    tokens.map(encode),
+    st.lists(data_messages, min_size=1, max_size=4).map(encode_data_batch),
+    st.builds(
+        JoinMessage,
+        sender=pids,
+        proc_set=st.frozensets(pids, max_size=6),
+        fail_set=st.frozensets(pids, max_size=6),
+        ring_seq=ring_ids,
+    ).map(encode_any),
+    st.lists(pids, min_size=1, max_size=6, unique=True).map(_commit).map(encode_any),
+    st.builds(RecoveredMessage, old_ring_id=ring_ids, message=data_messages).map(
+        encode_any
+    ),
+    st.builds(
+        RecoveryStatus,
+        sender=pids,
+        new_ring_id=ring_ids,
+        old_ring_id=ring_ids,
+        have=st.lists(seqs, max_size=8).map(tuple),
+        complete=st.booleans(),
+    ).map(encode_any),
+    st.builds(BeaconMessage, sender=pids, ring_id=ring_ids).map(encode_any),
+)
+
+
+@st.composite
+def mutated_datagrams(draw):
+    data = bytearray(draw(wire_encodings))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        op = draw(st.sampled_from(["set", "flip", "truncate", "insert", "delete"]))
+        if not data:
+            data.append(draw(st.integers(0, 255)))
+            continue
+        index = draw(st.integers(0, len(data) - 1))
+        if op == "set":
+            data[index] = draw(st.integers(0, 255))
+        elif op == "flip":
+            data[index] ^= 1 << draw(st.integers(0, 7))
+        elif op == "truncate":
+            del data[index:]
+        elif op == "insert":
+            data[index:index] = draw(st.binary(min_size=1, max_size=8))
+        else:
+            del data[index]
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_datagrams())
+def test_mutated_datagrams_raise_only_codec_error(datagram):
+    # Token port (decode_any) and data port (decode_data_port) alike.
+    for decoder in (decode_any, decode_data_port):
+        try:
+            decoder(datagram)
+        except CodecError:
+            pass
+
+
+@pytest.mark.parametrize("msg_type", [TYPE_JOIN, TYPE_COMMIT, TYPE_STATUS])
+def test_short_control_datagram_is_codec_error(msg_type):
+    # Magic, a control type, 17 zero bytes: shorter than every fixed part.
+    with pytest.raises(CodecError):
+        decode_any(bytes([MAGIC, msg_type]) + bytes(17))

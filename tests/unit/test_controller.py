@@ -6,7 +6,14 @@ network, no clock — to pin down the state machine's transitions.
 
 import pytest
 
-from repro.core.events import SendToken
+from repro.core.events import (
+    CancelTimer,
+    Deliver,
+    DeliverConfiguration,
+    SendControl,
+    SendToken,
+    SetTimer,
+)
 from repro.core.messages import DeliveryService
 from repro.core.token import initial_token
 from repro.membership.controller import (
@@ -16,13 +23,6 @@ from repro.membership.controller import (
     TIMER_JOIN,
     TIMER_SETTLE,
     TIMER_TOKEN_LOSS,
-)
-from repro.membership.effects import (
-    CancelTimer,
-    DeliverConfiguration,
-    DeliverMessage,
-    SendControl,
-    SetTimer,
 )
 from repro.membership.messages import (
     BeaconMessage,
@@ -262,8 +262,8 @@ class TestSingletonLifecycle:
         form_singleton(controller)
         token = initial_token(controller.ring_id)
         effects = controller.on_message(token)
-        delivered = [e for e in effects if isinstance(e, DeliverMessage)]
-        assert [d.message.payload for d in delivered] == [b"early"]
+        delivered = [e for e in effects if isinstance(e, Deliver)]
+        assert [m.payload for d in delivered for m in d.messages] == [b"early"]
 
     def test_token_loss_triggers_regather(self):
         controller = make_controller(pid=0)

@@ -10,7 +10,7 @@ from repro.membership.controller import (
     TIMER_CONSENSUS,
     TIMER_SETTLE,
 )
-from repro.membership.effects import DeliverConfiguration, DeliverMessage, SendControl
+from repro.core.events import Deliver, DeliverConfiguration, SendControl
 from repro.membership.messages import (
     CommitToken,
     JoinMessage,
@@ -61,7 +61,7 @@ def test_recovered_message_outside_window_ignored():
         old_ring_id=encode_ring_id(0, 0), message=data_message(3, pid=1)
     )
     effects = controller.on_message(message)
-    deliveries = [e for e in effects if isinstance(e, DeliverMessage)]
+    deliveries = [e for e in effects if isinstance(e, Deliver)]
     assert deliveries == []
 
 
@@ -176,7 +176,7 @@ def test_submissions_survive_one_view_change():
 
 
 def test_token_for_current_ring_resets_loss_timer():
-    from repro.membership.effects import SetTimer
+    from repro.core.events import SetTimer
 
     controller = two_member_controller(pid=0)
     token = initial_token(controller.ring_id)

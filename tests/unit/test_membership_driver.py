@@ -21,9 +21,9 @@ def test_states_and_rings_exclude_crashed():
 def test_crash_cancels_timers():
     cluster = booted(2)
     host = cluster.hosts[0]
-    assert host._timers  # token-loss and beacon timers armed
+    assert host._effects.timers  # token-loss and beacon timers armed
     cluster.crash(0)
-    assert not host._timers
+    assert not host._effects.timers
 
 
 def test_checker_wired_to_all_hosts():

@@ -260,7 +260,7 @@ class TestRollback:
         assert participant.last_delivered == 0
         # re-delivery possible
         effects = participant.on_data(data_message(2, pid=0))
-        assert [e.message.seq for e in drain_effects(effects, Deliver)] == [1, 2]
+        assert [m.seq for m in drain_effects(effects, Deliver)] == [1, 2]
 
     def test_rollback_forward_rejected(self):
         participant = make_participant()

@@ -2,8 +2,9 @@
 
 The FrameRing's own behaviour is pinned in test_frame_ring.py (via the
 repro.net.ring re-export); these cover the pieces the sim driver and
-the real runtime now share: the coalescing accumulator, batch wire
-arithmetic, the data-port decoder, and byte-window accounting.
+the real runtime now share: the effect interpreter, the coalescing
+accumulator, batch wire arithmetic, the data-port decoder, and
+byte-window accounting.
 """
 
 import pytest
@@ -15,11 +16,21 @@ from repro.core.codec import (
     encode_data_batch,
     encode_token,
 )
+from repro.core.events import (
+    CancelTimer,
+    Deliver,
+    MulticastData,
+    SendControl,
+    SendToken,
+    SetTimer,
+)
 from repro.core.messages import DataMessage, DeliveryService
 from repro.core.token import RegularToken
 from repro.core.transport_core import (
     ByteWindow,
     CoalescingAccumulator,
+    EffectInterpreter,
+    EffectPort,
     batch_wire_size,
     decode_data_port,
     encode_run,
@@ -36,6 +47,95 @@ def _msg(seq, payload=b"p", payload_size=None):
         payload=payload,
         payload_size=payload_size if payload_size is not None else len(payload),
     )
+
+
+class _Handle:
+    def __init__(self, name):
+        self.name = name
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _RecordingPort(EffectPort):
+    """Records each port call as a tuple, in call order."""
+
+    def __init__(self):
+        self.calls = []
+        self.handles = []
+
+    def send_data(self, message, retransmission):
+        self.calls.append(("data", message.seq, retransmission))
+
+    def send_run(self, messages):
+        self.calls.append(("run", [m.seq for m in messages]))
+
+    def send_token(self, token, destination):
+        self.calls.append(("token", destination))
+
+    def deliver(self, messages, config_id, origin_ring):
+        self.calls.append(("deliver", [m.seq for m in messages], config_id))
+
+    def schedule_timer(self, name, delay):
+        self.handles.append(_Handle(name))
+        return self.handles[-1]
+
+
+class TestEffectInterpreter:
+    def test_run_boundaries(self):
+        port = _RecordingPort()
+        EffectInterpreter(port, messages_per_datagram=2).execute(
+            [
+                MulticastData(_msg(1), retransmission=True),
+                MulticastData(_msg(2)),
+                MulticastData(_msg(3)),
+                MulticastData(_msg(4)),
+                SendToken(RegularToken(ring_id=1), destination=5),
+                MulticastData(_msg(5)),
+                MulticastData(_msg(6), retransmission=True),
+                MulticastData(_msg(7)),
+                Deliver((_msg(1),), config_id=9),
+                MulticastData(_msg(8)),
+            ]
+        )
+        assert port.calls == [
+            ("data", 1, True),  # retransmissions go alone
+            ("run", [2, 3]),  # full run
+            ("data", 4, False),  # run of one, flushed before the token
+            ("token", 5),
+            ("data", 5, False),  # flushed before the retransmission
+            ("data", 6, True),
+            ("data", 7, False),
+            ("deliver", [1], 9),
+            ("data", 8, False),  # flushed at the end of the list
+        ]
+
+    def test_without_coalescing_every_send_is_plain(self):
+        port = _RecordingPort()
+        EffectInterpreter(port).execute([MulticastData(_msg(1)), MulticastData(_msg(2))])
+        assert port.calls == [("data", 1, False), ("data", 2, False)]
+
+    def test_named_timers_set_replaces_and_cancel_drops(self):
+        port = _RecordingPort()
+        interpreter = EffectInterpreter(port)
+        interpreter.execute([SetTimer("a", 1.0), SetTimer("b", 1.0), SetTimer("a", 2.0)])
+        first_a, b, second_a = port.handles
+        assert first_a.cancelled and not second_a.cancelled
+        assert interpreter.timers == {"a": second_a, "b": b}
+        interpreter.execute([CancelTimer("b"), CancelTimer("missing")])
+        assert b.cancelled and interpreter.timers == {"a": second_a}
+        interpreter.timer_fired("a")
+        assert interpreter.timers == {} and not second_a.cancelled
+        interpreter.execute([SetTimer("c", 1.0)])
+        interpreter.cancel_timers()
+        assert port.handles[-1].cancelled and interpreter.timers == {}
+
+    def test_bare_ring_port_rejects_membership_effects(self):
+        with pytest.raises(TypeError):
+            EffectInterpreter(_RecordingPort()).execute([SendControl(object())])
+        with pytest.raises(TypeError):
+            EffectInterpreter(_RecordingPort()).execute([object()])
 
 
 class TestCoalescingAccumulator:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import ProtocolConfig
 from repro.core.messages import DeliveryService
 from repro.net.params import GIGABIT
+from repro.sim.build import ClusterBuilder
 from repro.sim.cluster import build_cluster
 from repro.sim.profiles import LIBRARY
 from repro.util.units import Mbps
@@ -53,6 +54,21 @@ class TestFixedRateWorkload:
         cluster_b.run(0.11)
         assert poisson.messages_injected == pytest.approx(uniform.messages_injected,
                                                           rel=0.25)
+
+    def test_attach_to_single_ring_membership_cluster(self):
+        cluster = ClusterBuilder().hosts(3).membership().build()
+        workload = FixedRateWorkload(payload_size=100, aggregate_rate_bps=1e6)
+        cluster.start()
+        cluster.run(0.05)  # form the ring before traffic starts
+        start = cluster.sim.now
+        workload.attach(cluster, start, start + 0.01)
+        cluster.run(0.1)
+        # 1 Mbps of 100-byte messages for 10 ms: ~12 submissions, and
+        # every host delivers every one of them.
+        assert workload.messages_injected >= 10
+        for host in cluster.hosts.values():
+            assert len(host.delivered) == workload.messages_injected
+        cluster.checker.check()
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
